@@ -40,7 +40,7 @@
 #include "bench_common.h"
 #include "core/aida.h"
 #include "core/relatedness_cache.h"
-#include "kb/kb_serialization.h"
+#include "kb/flat/flat_snapshot.h"
 #include "kb/snapshot_registry.h"
 #include "serve/ned_service.h"
 #include "synth/corpus_generator.h"
@@ -734,8 +734,8 @@ int main() {
 
   // --- Hot reload under load -------------------------------------------
   bench::PrintHeader("aida::serve — KB hot reload under load");
-  const std::string kb_path = "bench_serve_world.kb";
-  util::Status saved = kb::SaveKnowledgeBase(*base_kb, kb_path);
+  const std::string kb_path = "bench_serve_world.fkb";
+  util::Status saved = kb::flat::SaveFlatSnapshot(*base_kb, kb_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "failed to save KB: %s\n",
                  saved.ToString().c_str());

@@ -164,6 +164,13 @@ DisambiguationResult Aida::Disambiguate(
 
   auto fill_local_only = [&] {
     for (size_t m = 0; m < num_mentions; ++m) {
+      // A cancel during the local phase can leave a mention never reached:
+      // it has no candidate list at all and degrades to a mention without
+      // candidates (its owned[m] list was never filled, so it is empty).
+      if (candidates[m] == nullptr) {
+        candidates[m] = &owned[m];
+        result.cancelled = true;
+      }
       if (candidates[m]->empty()) {
         fill_result(m, -1, {});
         continue;

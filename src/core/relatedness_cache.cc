@@ -94,8 +94,7 @@ std::atomic<uint64_t> next_instance_id{1};
 }  // namespace
 
 RelatednessCache::RelatednessCache(RelatednessCacheOptions options)
-    : l1_enabled_(options.enable_thread_local_l1),
-      instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
+    : instance_id_(next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
   size_t requested_shards = options.num_shards;
   if (requested_shards == 0) {
     // Auto-size to the machine: enough stripes that even a pool of one
@@ -139,17 +138,14 @@ bool RelatednessCache::Lookup(kb::EntityId a, kb::EntityId b,
   const uint64_t hash = MixKey(key);
   StatStripe& stripe = StripeForThisThread();
 
-  L1Block* l1 = nullptr;
-  if (l1_enabled_) {
-    l1 = &ThisThreadL1();
-    if (RetagL1(*l1, instance_id_,
-                clear_epoch_.load(std::memory_order_acquire))) {
-      const L1Entry& entry = l1->entries[hash & (kL1Slots - 1)];
-      if (entry.key == key) {
-        *value = entry.value;
-        stripe.hits.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
+  L1Block& l1 = ThisThreadL1();
+  if (RetagL1(l1, instance_id_,
+              clear_epoch_.load(std::memory_order_acquire))) {
+    const L1Entry& entry = l1.entries[hash & (kL1Slots - 1)];
+    if (entry.key == key) {
+      *value = entry.value;
+      stripe.hits.fetch_add(1, std::memory_order_relaxed);
+      return true;
     }
   }
 
@@ -168,9 +164,7 @@ bool RelatednessCache::Lookup(kb::EntityId a, kb::EntityId b,
         slot.stamp = ++shard.tick;
         *value = slot.value;
         stripe.hits.fetch_add(1, std::memory_order_relaxed);
-        if (l1 != nullptr) {
-          l1->entries[hash & (kL1Slots - 1)] = L1Entry{key, slot.value};
-        }
+        l1.entries[hash & (kL1Slots - 1)] = L1Entry{key, slot.value};
         return true;
       }
     }
@@ -224,13 +218,11 @@ void RelatednessCache::Insert(kb::EntityId a, kb::EntityId b,
   StatStripe& stripe = StripeForThisThread();
   stripe.inserts.fetch_add(1, std::memory_order_relaxed);
   if (evicted) stripe.evictions.fetch_add(1, std::memory_order_relaxed);
-  if (l1_enabled_) {
-    // Inserts follow a same-thread Lookup miss, so the block is usually
-    // tagged already; retag defensively for direct Insert callers.
-    L1Block& l1 = ThisThreadL1();
-    RetagL1(l1, instance_id_, clear_epoch_.load(std::memory_order_acquire));
-    l1.entries[hash & (kL1Slots - 1)] = L1Entry{key, value};
-  }
+  // Inserts follow a same-thread Lookup miss, so the block is usually
+  // tagged already; retag defensively for direct Insert callers.
+  L1Block& l1 = ThisThreadL1();
+  RetagL1(l1, instance_id_, clear_epoch_.load(std::memory_order_acquire));
+  l1.entries[hash & (kL1Slots - 1)] = L1Entry{key, value};
 }
 
 RelatednessCacheStats RelatednessCache::Snapshot() const {

@@ -46,15 +46,6 @@ struct RelatednessCacheOptions {
   /// so adding workers keeps the expected load per shard lock constant
   /// instead of letting hot shards serialize a bigger pool.
   size_t num_shards = 0;
-  /// Fronts the shared shards with a small direct-mapped per-thread L1
-  /// (thread-local, ~8 KB per serving thread). An L1 hit costs a few
-  /// loads and no lock at all — on skewed workloads, where a handful of
-  /// hot entity pairs dominate, this is the difference between workers
-  /// scaling and workers convoying on the hot pair's shard mutex. Safe
-  /// because cached values are immutable for the cache's lifetime
-  /// (deterministic measure, stable entity ids); Clear() invalidates
-  /// every thread's L1 via a generation stamp.
-  bool enable_thread_local_l1 = true;
 };
 
 /// Sharded, bounded, thread-safe memoization table for symmetric
@@ -74,8 +65,9 @@ struct RelatednessCacheOptions {
 ///  * hit/miss/insert statistics stripe over cache-line-aligned counter
 ///    blocks by thread (the old single hits_/misses_ atomics were a
 ///    per-evaluation all-core rendezvous);
-///  * an optional per-thread L1 (see RelatednessCacheOptions) serves hot
-///    pairs without touching any shared line at all.
+///  * a small direct-mapped per-thread L1 (~8 KB per serving thread)
+///    serves hot pairs with a few loads and no lock, so workers on skewed
+///    workloads do not convoy on the hot pair's shard mutex.
 class RelatednessCache {
  public:
   explicit RelatednessCache(RelatednessCacheOptions options = {});
@@ -138,7 +130,6 @@ class RelatednessCache {
   StatStripe& StripeForThisThread() const AIDA_NONBLOCKING;
 
   size_t slots_per_shard_ = 0;
-  bool l1_enabled_ = false;
   /// Process-unique id + clear generation: together they tag per-thread
   /// L1 blocks so a block never serves entries from a destroyed or
   /// cleared cache (ids are never reused, unlike addresses).

@@ -1,7 +1,6 @@
 #include "kb/flat/flat_snapshot.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <unordered_set>
@@ -217,25 +216,6 @@ std::string SerializeFlatSnapshot(const KnowledgeBase& kb) {
 util::Status SaveFlatSnapshot(const KnowledgeBase& kb,
                               const std::string& path) {
   return util::WriteFile(path, SerializeFlatSnapshot(kb));
-}
-
-bool LooksLikeFlatSnapshot(std::string_view data) {
-  if (data.size() < sizeof(uint32_t)) return false;
-  uint32_t magic = 0;
-  std::memcpy(&magic, data.data(), sizeof(magic));
-  return magic == kFlatMagic;
-}
-
-MagicProbe ProbeFileMagic(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return MagicProbe::kUnreadable;
-  char prefix[sizeof(uint32_t)];
-  const size_t read = std::fread(prefix, 1, sizeof(prefix), f);
-  std::fclose(f);
-  if (read != sizeof(prefix)) return MagicProbe::kOther;
-  return LooksLikeFlatSnapshot(std::string_view(prefix, sizeof(prefix)))
-             ? MagicProbe::kFlat
-             : MagicProbe::kOther;
 }
 
 // ---------------------------------------------------------------------------

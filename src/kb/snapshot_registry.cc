@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "core/relatedness.h"
-#include "kb/kb_serialization.h"
+#include "kb/flat/flat_snapshot.h"
 #include "util/stopwatch.h"
 
 namespace aida::kb {
@@ -35,7 +35,10 @@ util::StatusOr<std::shared_ptr<const KbSnapshot>> KbSnapshot::Create(
   snapshot->source_ = std::move(source);
   snapshot->models_ = std::make_unique<core::CandidateModelStore>(
       snapshot->kb_.get());
-  snapshot->cache_ = std::make_unique<core::RelatednessCache>(options.cache);
+  // Each generation gets a fresh, default-sized cache: entity ids are only
+  // stable within one KB build, so carrying cached pair values across
+  // generations would serve values computed against a different link graph.
+  snapshot->cache_ = std::make_unique<core::RelatednessCache>();
   snapshot->base_measure_ =
       options.relatedness_factory
           ? options.relatedness_factory(*snapshot->kb_)
@@ -110,7 +113,7 @@ SnapshotRegistry::ReloadFromFile(const std::string& path) {
   util::MutexLock lock(&publish_mutex_);
   util::Stopwatch watch;
   util::StatusOr<std::unique_ptr<KnowledgeBase>> loaded =
-      LoadKnowledgeBase(path);
+      flat::LoadFlatSnapshot(path);
   if (!loaded.ok()) {
     ++reload_failures_;
     return loaded.status();

@@ -45,11 +45,6 @@ struct SnapshotOptions {
   /// Options for the default Aida system (ignored when system_factory is
   /// set).
   core::AidaOptions aida;
-  /// Sizing of the per-snapshot relatedness cache. Each generation gets a
-  /// fresh cache: entity ids are only stable within one KB build, so
-  /// carrying cached pair values across generations would serve values
-  /// computed against a different link graph.
-  core::RelatednessCacheOptions cache;
 };
 
 /// One immutable, generation-numbered knowledge-base snapshot: the KB
@@ -181,7 +176,8 @@ class SnapshotRegistry {
       std::shared_ptr<const core::NedSystem> system, std::string source)
       AIDA_EXCLUDES(publish_mutex_);
 
-  /// Reload from a serialized KB file (SaveKnowledgeBase format).
+  /// Reload from a flat snapshot file (flat::SaveFlatSnapshot), mmap'd
+  /// and served zero-copy.
   util::StatusOr<std::shared_ptr<const KbSnapshot>> ReloadFromFile(
       const std::string& path) AIDA_EXCLUDES(publish_mutex_);
 

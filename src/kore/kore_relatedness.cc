@@ -87,11 +87,15 @@ double KoreRelatedness::RelatednessOfModels(const core::CandidateModel& a,
   if (denom <= 0.0) return 0.0;
 
   // Visit only phrase pairs sharing at least one word: index the smaller
-  // side, probe with the larger side's words.
-  const core::CandidateModel& small =
-      a.phrases.size() <= b.phrases.size() ? a : b;
-  const core::CandidateModel& large =
-      a.phrases.size() <= b.phrases.size() ? b : a;
+  // side, probe with the larger side's words. Equal sizes break on the
+  // entity id, so (a,b) and (b,a) run the same sums in the same order and
+  // agree bit for bit, as RelatednessCache (keyed by the unordered pair)
+  // requires.
+  const bool a_is_small = a.phrases.size() != b.phrases.size()
+                              ? a.phrases.size() < b.phrases.size()
+                              : a.entity <= b.entity;
+  const core::CandidateModel& small = a_is_small ? a : b;
+  const core::CandidateModel& large = a_is_small ? b : a;
   PhraseIndex index = BuildIndex(small);
 
   double numerator = 0.0;

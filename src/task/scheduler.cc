@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/worker_pool.h"
 
 namespace aida::task {
 
@@ -34,26 +33,9 @@ Scheduler::Scheduler(const SchedulerOptions& options) {
   for (size_t i = 0; i < total; ++i) {
     slots_.push_back(std::make_unique<Slot>(options.deque_capacity));
   }
-  borrow_pool_ = options.borrow_pool;
-  if (borrow_pool_ != nullptr) {
-    {
-      util::MutexLock lock(&inject_mutex_);
-      loops_live_ = num_workers_;
-    }
-    for (size_t i = 0; i < num_workers_; ++i) {
-      borrow_pool_->Submit([this, i] {
-        WorkerLoop(static_cast<uint32_t>(i));
-        util::MutexLock lock(&inject_mutex_);
-        --loops_live_;
-        if (loops_live_ == 0) loops_done_.NotifyAll();
-      });
-    }
-  } else {
-    threads_.reserve(num_workers_);
-    for (size_t i = 0; i < num_workers_; ++i) {
-      threads_.emplace_back(
-          [this, i] { WorkerLoop(static_cast<uint32_t>(i)); });
-    }
+  threads_.reserve(num_workers_);
+  for (size_t i = 0; i < num_workers_; ++i) {
+    threads_.emplace_back([this, i] { WorkerLoop(static_cast<uint32_t>(i)); });
   }
 }
 
@@ -68,10 +50,6 @@ Scheduler::~Scheduler() {
     work_ready_.NotifyAll();
   }
   for (std::thread& thread : threads_) thread.join();
-  if (borrow_pool_ != nullptr) {
-    util::MutexLock lock(&inject_mutex_);
-    while (loops_live_ > 0) loops_done_.Wait(inject_mutex_);
-  }
   // All executors are gone and outstanding_ was zero, so every pooled
   // node's callable has already been destroyed — plain deletes remain.
   for (std::unique_ptr<Slot>& slot : slots_) {

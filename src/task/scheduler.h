@@ -22,10 +22,6 @@
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
-namespace aida::util {
-class WorkerPool;
-}  // namespace aida::util
-
 namespace aida::task {
 
 class Scheduler;
@@ -118,11 +114,6 @@ struct SchedulerOptions {
   /// (at least 1). These are in addition to external threads that join in
   /// as fork-join waiters.
   size_t num_threads = 0;
-  /// When set, the scheduler borrows `num_threads` long-running loops
-  /// from this pool instead of owning threads (the pool must have spare
-  /// threads beyond its other long-running loops, and must outlive the
-  /// scheduler). When null, dedicated std::threads are created.
-  util::WorkerPool* borrow_pool = nullptr;
   /// Per-slot deque ring capacity (rounded up to a power of two). A full
   /// deque spills to the shared injection queue, so this bounds memory,
   /// not task count.
@@ -236,10 +227,6 @@ class Scheduler {
   std::deque<internal::TaskNode*> injection_ AIDA_GUARDED_BY(inject_mutex_);
   size_t sleepers_ AIDA_GUARDED_BY(inject_mutex_) = 0;
   bool stopping_ AIDA_GUARDED_BY(inject_mutex_) = false;
-  /// Borrowed-pool mode: loops still running inside the pool; the
-  /// destructor waits for this to reach zero.
-  size_t loops_live_ AIDA_GUARDED_BY(inject_mutex_) = 0;
-  util::CondVar loops_done_;
 
   /// Mirror of injection_.size() so idle probes skip the lock.
   std::atomic<size_t> injection_size_{0};
@@ -253,7 +240,6 @@ class Scheduler {
   std::atomic<uint64_t> outstanding_{0};
   std::atomic<uint64_t> overflow_enqueued_{0};
 
-  util::WorkerPool* borrow_pool_ = nullptr;
   std::vector<std::thread> threads_;
 };
 

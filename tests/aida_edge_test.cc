@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "core/aida.h"
 #include "core/baselines.h"
 #include "ee/ee_discovery.h"
 #include "kore/kore_relatedness.h"
+#include "task/scheduler.h"
 #include "test_world.h"
 
 namespace aida::core {
@@ -181,6 +187,90 @@ TEST_F(AidaEdgeTest, DiscovererFirstStageThresholds) {
       if (result.mentions[m].candidate_entities.empty()) continue;
       EXPECT_TRUE(result.mentions[m].chose_placeholder) << m;
     }
+  }
+}
+
+// A deadline that trips inside the local-scoring loop leaves the mentions
+// the loop never reached without any candidate list. Sweeps deadlines
+// across the local phase of one long document (every corpus document back
+// to back, ~250 mentions), serially and on a task scheduler. Every result
+// must be well formed, and each mode must have been cut inside the local
+// phase at least once, or the sweep proved nothing.
+TEST_F(AidaEdgeTest, LocalPhaseCancelAtAnyPointIsWellFormed) {
+  std::vector<std::string> tokens;
+  DisambiguationProblem problem;
+  problem.tokens = &tokens;
+  for (const corpus::Document& doc : corpus_) {
+    const size_t offset = tokens.size();
+    tokens.insert(tokens.end(), doc.tokens.begin(), doc.tokens.end());
+    for (const corpus::GoldMention& gm : doc.mentions) {
+      ProblemMention pm;
+      pm.surface = gm.surface;
+      pm.begin_token = offset + gm.begin_token;
+      pm.end_token = offset + gm.end_token;
+      problem.mentions.push_back(std::move(pm));
+    }
+  }
+  const size_t num_mentions = problem.mentions.size();
+  ASSERT_GE(num_mentions, 150u);
+
+  Aida aida(&models_, &mw_, AidaOptions());
+  const DisambiguationResult full = aida.Disambiguate(problem, {});
+  ASSERT_FALSE(full.cancelled);
+  // Candidate lookup and local features, from the start of the call.
+  const double local_seconds = full.stats.local_seconds;
+
+  task::SchedulerOptions scheduler_options;
+  scheduler_options.num_threads = 2;
+  task::Scheduler scheduler(scheduler_options);
+  DisambiguateOptions parallel;
+  parallel.parallel.scheduler = &scheduler;
+  parallel.parallel.max_tasks = 4;
+
+  for (const bool use_scheduler : {false, true}) {
+    SCOPED_TRACE(use_scheduler ? "task scheduler" : "serial");
+    size_t cut_in_local_phase = 0;
+    constexpr int kSteps = 100;
+    for (int step = 0; step <= kSteps; ++step) {
+      const auto delay = std::chrono::duration<double>(
+          1.5 * local_seconds * step / kSteps);
+      CancellationToken token(
+          CancellationToken::Clock::now() +
+          std::chrono::duration_cast<CancellationToken::Clock::duration>(
+              delay));
+      DisambiguateOptions options = use_scheduler ? parallel
+                                                  : DisambiguateOptions();
+      options.cancel = &token;
+      const DisambiguationResult result = aida.Disambiguate(problem, options);
+
+      ASSERT_EQ(result.mentions.size(), num_mentions);
+      bool reached = false;
+      bool unreached = false;
+      for (size_t m = 0; m < num_mentions; ++m) {
+        const MentionResult& mention = result.mentions[m];
+        ASSERT_EQ(mention.candidate_scores.size(),
+                  mention.candidate_entities.size());
+        ASSERT_EQ(mention.candidate_is_placeholder.size(),
+                  mention.candidate_entities.size());
+        if (mention.candidate_entities.empty()) {
+          EXPECT_EQ(mention.entity, kb::kNoEntity) << "mention " << m;
+          unreached |= !full.mentions[m].candidate_entities.empty();
+        } else {
+          reached = true;
+          if (mention.entity != kb::kNoEntity) {
+            EXPECT_NE(std::find(mention.candidate_entities.begin(),
+                                mention.candidate_entities.end(),
+                                mention.entity),
+                      mention.candidate_entities.end());
+          }
+        }
+      }
+      if (reached && unreached) {
+        EXPECT_TRUE(result.cancelled);
+        ++cut_in_local_phase;
+      }
+    }
+    EXPECT_GT(cut_in_local_phase, 0u);
   }
 }
 

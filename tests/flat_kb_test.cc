@@ -17,7 +17,6 @@
 #include "kb/flat/flat_layout.h"
 #include "kb/flat/flat_snapshot.h"
 #include "kb/kb_builder.h"
-#include "kb/kb_serialization.h"
 #include "kb/knowledge_base.h"
 #include "kb/snapshot_registry.h"
 #include "test_world.h"
@@ -54,6 +53,42 @@ core::DisambiguationProblem ToProblem(const corpus::Document& doc) {
     problem.mentions.push_back(std::move(pm));
   }
   return problem;
+}
+
+/// A snapshot of a tiny builder KB: two one-letter types, two one-letter
+/// entities and two keyphrases, small enough to corrupt by hand.
+std::string TinyKbBytes() {
+  KbBuilder builder;
+  builder.AddType("x");
+  builder.AddType("y");
+  EntityId a = builder.AddEntity("a");
+  EntityId b = builder.AddEntity("b");
+  builder.AddName("Alpha", a, 1);
+  builder.AddKeyphrase(a, "rock guitar");
+  builder.AddKeyphrase(b, "opera");
+  return flat::SerializeFlatSnapshot(*std::move(builder).Build());
+}
+
+/// Mutable bytes of section `id` inside serialized snapshot `bytes`.
+std::span<char> Section(std::string& bytes, flat::SectionId id) {
+  flat::FileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  for (uint64_t i = 0; i < header.section_count; ++i) {
+    flat::SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + sizeof(header) + i * sizeof(entry),
+                sizeof(entry));
+    if (entry.id == static_cast<uint32_t>(id)) {
+      return std::span<char>(bytes.data() + entry.offset, entry.size);
+    }
+  }
+  ADD_FAILURE() << "section " << static_cast<uint32_t>(id) << " missing";
+  return {};
+}
+
+/// Loads `bytes` and returns the error message; empty if it loaded.
+std::string LoadError(const std::string& bytes) {
+  auto result = flat::LoadFlatSnapshotFromString(bytes);
+  return result.ok() ? std::string() : result.status().ToString();
 }
 
 TEST(FlatKbTest, RoundTripPreservesEntitiesAndTaxonomy) {
@@ -180,29 +215,22 @@ TEST(FlatKbTest, DisambiguationIsByteIdenticalToHeap) {
   }
 }
 
-TEST(FlatKbTest, DeserializeKnowledgeBaseAutodetectsFlatMagic) {
-  EXPECT_TRUE(flat::LooksLikeFlatSnapshot(FlatBytes()));
-  EXPECT_FALSE(flat::LooksLikeFlatSnapshot(SerializeKnowledgeBase(HeapKb())));
-  auto loaded = DeserializeKnowledgeBase(FlatBytes());
+TEST(FlatKbTest, FileRoundTripUsesMmap) {
+  const std::string path = ::testing::TempDir() + "/flat_kb_test.fkb";
+  ASSERT_TRUE(flat::SaveFlatSnapshot(HeapKb(), path).ok());
+
+  auto loaded = flat::LoadFlatSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->flat_backed());
   EXPECT_EQ((*loaded)->entity_count(), HeapKb().entity_count());
 }
 
-TEST(FlatKbTest, FileRoundTripUsesMmap) {
-  const std::string path = ::testing::TempDir() + "/flat_kb_test.fkb";
-  ASSERT_TRUE(flat::SaveFlatSnapshot(HeapKb(), path).ok());
-  EXPECT_EQ(flat::ProbeFileMagic(path), flat::MagicProbe::kFlat);
-
-  auto direct = flat::LoadFlatSnapshot(path);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  EXPECT_TRUE((*direct)->flat_backed());
-  EXPECT_EQ((*direct)->entity_count(), HeapKb().entity_count());
-
-  // The generic loader dispatches on the magic prefix.
-  auto generic = LoadKnowledgeBase(path);
-  ASSERT_TRUE(generic.ok()) << generic.status().ToString();
-  EXPECT_TRUE((*generic)->flat_backed());
+TEST(FlatKbTest, LoadRejectsMissingFile) {
+  auto result =
+      flat::LoadFlatSnapshot(::testing::TempDir() + "/does_not_exist.fkb");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("does_not_exist.fkb"),
+            std::string::npos);
 }
 
 TEST(FlatKbTest, SnapshotRegistryPublishesFlatFile) {
@@ -235,9 +263,6 @@ TEST(FlatKbTest, RejectsUnalignedBuffer) {
 TEST(FlatKbTest, RejectsGarbageAndEmpty) {
   EXPECT_FALSE(flat::LoadFlatSnapshotFromString("").ok());
   EXPECT_FALSE(flat::LoadFlatSnapshotFromString("garbage bytes here").ok());
-  // v1 stream bytes are not a flat snapshot.
-  EXPECT_FALSE(
-      flat::LoadFlatSnapshotFromString(SerializeKnowledgeBase(HeapKb())).ok());
 }
 
 TEST(FlatKbTest, RejectsVersionMismatch) {
@@ -264,6 +289,38 @@ TEST(FlatKbTest, RejectsTruncationAtEveryStride) {
     EXPECT_FALSE(result.ok()) << "cut at " << cut;
     EXPECT_FALSE(result.status().ToString().empty()) << "cut at " << cut;
   }
+}
+
+// The three corruptions below pass every bounds check, so only the
+// loader's semantic checks stand between them and the aborting
+// invariants of TypeTaxonomy::AddType, EntityRepository::Add and
+// phrase matching. Each test first confirms the pristine bytes load.
+
+TEST(FlatKbTest, RejectsDuplicateTypeNames) {
+  std::string bytes = TinyKbBytes();
+  ASSERT_EQ(LoadError(bytes), "");
+  // Every type name becomes a run of 'x': "x" and "y" now collide.
+  for (char& c : Section(bytes, flat::SectionId::kTaxonomyNamePool)) c = 'x';
+  EXPECT_NE(LoadError(bytes).find("duplicate type name"), std::string::npos);
+}
+
+TEST(FlatKbTest, RejectsDuplicateEntityNames) {
+  std::string bytes = TinyKbBytes();
+  ASSERT_EQ(LoadError(bytes), "");
+  for (char& c : Section(bytes, flat::SectionId::kEntityNamePool)) c = 'a';
+  EXPECT_NE(LoadError(bytes).find("duplicate entity name"),
+            std::string::npos);
+}
+
+TEST(FlatKbTest, RejectsEmptyPhrase) {
+  std::string bytes = TinyKbBytes();
+  ASSERT_EQ(LoadError(bytes), "");
+  // Phrase 0 ends where it starts; the word total stays the same, so only
+  // the strict non-empty check can catch it.
+  std::span<char> offsets = Section(bytes, flat::SectionId::kPhraseWordOffsets);
+  ASSERT_GE(offsets.size(), 3 * sizeof(uint64_t));
+  std::memset(offsets.data() + sizeof(uint64_t), 0, sizeof(uint64_t));
+  EXPECT_NE(LoadError(bytes).find("phrase offsets"), std::string::npos);
 }
 
 TEST(FlatKbTest, RejectsTrailingBytes) {

@@ -1,8 +1,8 @@
-// Fuzz target for the flat (mmap-able) KB snapshot loader. Like the v1
-// stream deserializer, this is a hot-reload surface: SnapshotRegistry
-// maps these bytes straight into a serving process, and the loader's
-// views alias the input buffer directly, so an unvalidated offset or
-// hash slot would be an out-of-bounds read in production. Contract:
+// Fuzz target for the flat (mmap-able) KB snapshot loader. This is the
+// hot-reload surface: SnapshotRegistry maps these bytes straight into a
+// serving process, and the loader's views alias the input buffer
+// directly, so an unvalidated offset or hash slot would be an
+// out-of-bounds read in production. Contract:
 //
 //   * arbitrary bytes either load or come back as an error Status —
 //     never a crash, check failure, or sanitizer report;

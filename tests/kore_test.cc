@@ -2,7 +2,9 @@
 
 #include <set>
 
+#include "core/aida.h"
 #include "core/candidates.h"
+#include "core/relatedness_cache.h"
 #include "kore/keyterm_cosine.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
@@ -58,16 +60,69 @@ TEST_F(KoreTest, SameTopicMoreRelated) {
 }
 
 TEST_F(KoreTest, SymmetricAndBounded) {
+  // RelatednessCache stores a pair without its order, so (a,b) and (b,a)
+  // must agree bit for bit. Pairs with equal phrase counts are the ones
+  // at risk; the test fails if it met none.
   KoreRelatedness kore;
-  for (kb::EntityId e = 0; e < 20; ++e) {
-    for (kb::EntityId f = e + 1; f < 20; ++f) {
-      double ab = kore.Relatedness(MakeCandidate(e), MakeCandidate(f));
-      double ba = kore.Relatedness(MakeCandidate(f), MakeCandidate(e));
-      EXPECT_NEAR(ab, ba, 1e-12);
+  size_t equal_sizes = 0;
+  for (kb::EntityId e = 0; e < 120; ++e) {
+    const core::Candidate ce = MakeCandidate(e);
+    for (kb::EntityId f = e + 1; f < 120; ++f) {
+      const core::Candidate cf = MakeCandidate(f);
+      const double ab = kore.Relatedness(ce, cf);
+      EXPECT_EQ(ab, kore.Relatedness(cf, ce)) << e << " vs " << f;
       EXPECT_GE(ab, 0.0);
       EXPECT_LE(ab, 1.0);
+      equal_sizes += ce.model->phrases.size() == cf.model->phrases.size();
     }
   }
+  EXPECT_GT(equal_sizes, 0u);
+}
+
+TEST_F(KoreTest, CachedMatchesUncachedOverBatch) {
+  // One cache shared by the whole batch: a pair cached in one order is
+  // later served for the other, which must change nothing.
+  KoreRelatedness kore;
+  core::RelatednessCache cache;
+  core::CachedRelatednessMeasure cached(&kore, &cache);
+  for (kb::EntityId e = 0; e < 60; ++e) {
+    for (kb::EntityId f = e + 1; f < 60; ++f) {
+      cached.Relatedness(MakeCandidate(e), MakeCandidate(f));
+    }
+  }
+  for (kb::EntityId e = 0; e < 60; ++e) {
+    for (kb::EntityId f = e + 1; f < 60; ++f) {
+      EXPECT_EQ(cached.Relatedness(MakeCandidate(f), MakeCandidate(e)),
+                kore.Relatedness(MakeCandidate(f), MakeCandidate(e)))
+          << f << " vs " << e;
+    }
+  }
+
+  // The same through full disambiguation over the test corpus.
+  core::Aida uncached_aida(&models_, &kore, core::AidaOptions());
+  core::Aida cached_aida(&models_, &cached, core::AidaOptions());
+  for (const corpus::Document& doc : TestWorld::Get().corpus) {
+    core::DisambiguationProblem problem;
+    problem.tokens = &doc.tokens;
+    for (const corpus::GoldMention& gm : doc.mentions) {
+      core::ProblemMention pm;
+      pm.surface = gm.surface;
+      pm.begin_token = gm.begin_token;
+      pm.end_token = gm.end_token;
+      problem.mentions.push_back(std::move(pm));
+    }
+    const core::DisambiguationResult a =
+        uncached_aida.Disambiguate(problem, {});
+    const core::DisambiguationResult b = cached_aida.Disambiguate(problem, {});
+    ASSERT_EQ(a.mentions.size(), b.mentions.size());
+    for (size_t m = 0; m < a.mentions.size(); ++m) {
+      EXPECT_EQ(a.mentions[m].entity, b.mentions[m].entity) << doc.id;
+      EXPECT_EQ(a.mentions[m].score, b.mentions[m].score) << doc.id;
+      EXPECT_EQ(a.mentions[m].candidate_scores, b.mentions[m].candidate_scores)
+          << doc.id;
+    }
+  }
+  EXPECT_GT(cache.Snapshot().hits, 0u);
 }
 
 TEST_F(KoreTest, SelfRelatednessIsHigh) {

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "kb/kb_builder.h"
-#include "kb/kb_serialization.h"
+#include "kb/flat/flat_snapshot.h"
 #include "kb/snapshot_registry.h"
 #include "serve/ned_service.h"
 #include "test_world.h"
@@ -29,11 +29,16 @@ namespace {
 
 using ::aida::testing::TestWorld;
 
-/// A fresh, owned copy of the TestWorld KB via a serialization round
-/// trip (the singleton's KB cannot be shared into a snapshot).
+/// A fresh, owned copy of the TestWorld KB via a flat-snapshot round
+/// trip (the singleton's KB cannot be shared into a snapshot). Doubles as
+/// a ReloadFromBuilder callback.
+util::StatusOr<std::unique_ptr<KnowledgeBase>> CopyTestKb() {
+  return flat::LoadFlatSnapshotFromString(
+      flat::SerializeFlatSnapshot(*TestWorld::Get().world.knowledge_base));
+}
+
 std::shared_ptr<const KnowledgeBase> CloneTestKb() {
-  const KnowledgeBase& kb = *TestWorld::Get().world.knowledge_base;
-  auto restored = DeserializeKnowledgeBase(SerializeKnowledgeBase(kb));
+  auto restored = CopyTestKb();
   AIDA_CHECK(restored.ok());
   return std::shared_ptr<const KnowledgeBase>(std::move(restored.value()));
 }
@@ -117,13 +122,7 @@ TEST(SnapshotRegistryTest, PublishAndReloadBumpGenerations) {
   EXPECT_EQ((*first)->generation(), 1u);
   EXPECT_EQ(registry.Current(), *first);
 
-  auto second = registry.ReloadFromBuilder(
-      [] {
-        return util::StatusOr<std::unique_ptr<KnowledgeBase>>(
-            DeserializeKnowledgeBase(SerializeKnowledgeBase(
-                *TestWorld::Get().world.knowledge_base)));
-      },
-      "builder:regrow");
+  auto second = registry.ReloadFromBuilder(CopyTestKb, "builder:regrow");
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ((*second)->generation(), 2u);
   EXPECT_EQ((*second)->source(), "builder:regrow");
@@ -139,9 +138,9 @@ TEST(SnapshotRegistryTest, PublishAndReloadBumpGenerations) {
 }
 
 TEST(SnapshotRegistryTest, ReloadFromFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/snapshot_reload.kb";
+  const std::string path = ::testing::TempDir() + "/snapshot_reload.fkb";
   std::shared_ptr<const KnowledgeBase> kb = CloneTestKb();
-  ASSERT_TRUE(SaveKnowledgeBase(*kb, path).ok());
+  ASSERT_TRUE(flat::SaveFlatSnapshot(*kb, path).ok());
 
   SnapshotRegistry registry;
   ASSERT_TRUE(registry.Publish(kb, "initial").ok());
@@ -160,7 +159,7 @@ TEST(SnapshotRegistryTest, FailedReloadRollsBackAndCounts) {
 
   // Missing file: load error before anything is built.
   EXPECT_FALSE(
-      registry.ReloadFromFile("/nonexistent/definitely_missing.kb").ok());
+      registry.ReloadFromFile("/nonexistent/definitely_missing.fkb").ok());
   // Builder error: the callback itself fails.
   EXPECT_FALSE(registry
                    .ReloadFromBuilder(
@@ -219,12 +218,7 @@ TEST(SnapshotRegistryTest, ConcurrentReadersAndReloadsAreClean) {
   }
   for (int reload = 0; reload < 3; ++reload) {
     auto published = registry.ReloadFromBuilder(
-        [] {
-          return util::StatusOr<std::unique_ptr<KnowledgeBase>>(
-              DeserializeKnowledgeBase(SerializeKnowledgeBase(
-                  *TestWorld::Get().world.knowledge_base)));
-        },
-        "builder:round-" + std::to_string(reload));
+        CopyTestKb, "builder:round-" + std::to_string(reload));
     ASSERT_TRUE(published.ok());
   }
   stop.store(true);
@@ -307,13 +301,8 @@ TEST(SnapshotRegistryTest, InFlightRequestOutlivesTwoReloads) {
   std::future<serve::ServeResult> slow = service.Submit(problem);
   gate.WaitUntilEntered();  // the worker is inside generation 1
 
-  auto clone_builder = [] {
-    return util::StatusOr<std::unique_ptr<KnowledgeBase>>(
-        DeserializeKnowledgeBase(SerializeKnowledgeBase(
-            *TestWorld::Get().world.knowledge_base)));
-  };
-  ASSERT_TRUE(registry->ReloadFromBuilder(clone_builder, "gen2").ok());
-  ASSERT_TRUE(registry->ReloadFromBuilder(clone_builder, "gen3").ok());
+  ASSERT_TRUE(registry->ReloadFromBuilder(CopyTestKb, "gen2").ok());
+  ASSERT_TRUE(registry->ReloadFromBuilder(CopyTestKb, "gen3").ok());
 
   // Generation 1 is no longer current but must still be alive: the
   // in-flight request pins it.
@@ -360,16 +349,7 @@ TEST(SnapshotRegistryTest, ServicePicksUpNewGenerationPerDequeue) {
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.generation, 1u);
 
-  ASSERT_TRUE(registry
-                  ->ReloadFromBuilder(
-                      [] {
-                        return util::StatusOr<
-                            std::unique_ptr<KnowledgeBase>>(
-                            DeserializeKnowledgeBase(SerializeKnowledgeBase(
-                                *TestWorld::Get().world.knowledge_base)));
-                      },
-                      "gen2")
-                  .ok());
+  ASSERT_TRUE(registry->ReloadFromBuilder(CopyTestKb, "gen2").ok());
   serve::ServeResult after = service.Submit(problem).get();
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.generation, 2u);

@@ -26,7 +26,6 @@
 #include "util/alloc_probe.h"
 #include "util/cancellation.h"
 #include "util/stopwatch.h"
-#include "util/worker_pool.h"
 
 namespace aida::task {
 namespace {
@@ -235,27 +234,6 @@ TEST(SchedulerTest, NestedGroupsComposeOnOneSlot) {
   for (size_t k = 0; k < writes.size(); ++k) {
     ASSERT_EQ(writes[k].load(), 1u) << "slot " << k;
   }
-}
-
-TEST(SchedulerTest, BorrowsWorkerPoolThreads) {
-  util::WorkerPool pool(3);
-  std::vector<uint64_t> out(5000, 0);
-  {
-    SchedulerOptions options;
-    options.num_threads = 2;  // leaves one pool thread unborrowed
-    options.borrow_pool = &pool;
-    Scheduler scheduler(options);
-    ParallelChunks(&scheduler, out.size(), 4, nullptr,
-                   [&](size_t begin, size_t end) {
-                     for (size_t i = begin; i < end; ++i) out[i] = i * 3;
-                   });
-  }
-  for (size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i * 3);
-  // The borrowed loops exited at scheduler destruction; the pool still
-  // accepts ordinary work.
-  std::atomic<bool> ran{false};
-  pool.ParallelFor(1, [&](size_t) { ran.store(true); });
-  EXPECT_TRUE(ran.load());
 }
 
 TEST(SchedulerTest, PreCancelledTokenSkipsSpawns) {

@@ -1,13 +1,14 @@
 // Command-line interface to the library:
 //
-//   aida_cli generate-kb <out.kb> [entities] [topics] [seed]
-//       Generates a synthetic knowledge base and saves it.
-//   aida_cli inspect <kb>
+//   aida_cli generate-kb <out.fkb> [entities] [topics] [seed]
+//       Generates a synthetic knowledge base and saves it as a flat
+//       snapshot.
+//   aida_cli inspect <kb.fkb>
 //       Prints knowledge-base statistics.
-//   aida_cli annotate <kb> [mw|kore|kore-lsh-g|kore-lsh-f]
+//   aida_cli annotate <kb.fkb> [mw|kore|kore-lsh-g|kore-lsh-f]
 //       Reads text from stdin (one document per line), recognizes and
 //       disambiguates mentions, prints one "mention -> entity" line each.
-//   aida_cli generate-corpus <out.kb> <out.corpus> [docs] [seed]
+//   aida_cli generate-corpus <out.fkb> <out.corpus> [docs] [seed]
 //       Generates a synthetic world AND a matching gold-annotated corpus
 //       (the equivalent of the datasets the paper published).
 //
@@ -23,7 +24,7 @@
 
 #include "core/aida.h"
 #include "corpus/corpus_io.h"
-#include "kb/kb_serialization.h"
+#include "kb/flat/flat_snapshot.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
 #include "nlp/ner_tagger.h"
@@ -39,10 +40,10 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  aida_cli generate-kb <out.kb> [entities] [topics] [seed]\n"
-      "  aida_cli inspect <kb>\n"
-      "  aida_cli annotate <kb> [mw|kore|kore-lsh-g|kore-lsh-f]\n"
-      "  aida_cli generate-corpus <out.kb> <out.corpus> [docs] [seed]\n");
+      "  aida_cli generate-kb <out.fkb> [entities] [topics] [seed]\n"
+      "  aida_cli inspect <kb.fkb>\n"
+      "  aida_cli annotate <kb.fkb> [mw|kore|kore-lsh-g|kore-lsh-f]\n"
+      "  aida_cli generate-corpus <out.fkb> <out.corpus> [docs] [seed]\n");
   return 2;
 }
 
@@ -56,7 +57,7 @@ int GenerateKb(int argc, char** argv) {
 
   synth::World world = synth::WorldGenerator(config).Generate();
   util::Status status =
-      kb::SaveKnowledgeBase(*world.knowledge_base, argv[0]);
+      kb::flat::SaveFlatSnapshot(*world.knowledge_base, argv[0]);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
@@ -70,7 +71,7 @@ int GenerateKb(int argc, char** argv) {
 
 int Inspect(int argc, char** argv) {
   if (argc < 1) return Usage();
-  auto kb = kb::LoadKnowledgeBase(argv[0]);
+  auto kb = kb::flat::LoadFlatSnapshot(argv[0]);
   if (!kb.ok()) {
     std::fprintf(stderr, "error: %s\n", kb.status().ToString().c_str());
     return 1;
@@ -90,7 +91,7 @@ int Inspect(int argc, char** argv) {
 
 int Annotate(int argc, char** argv) {
   if (argc < 1) return Usage();
-  auto kb = kb::LoadKnowledgeBase(argv[0]);
+  auto kb = kb::flat::LoadFlatSnapshot(argv[0]);
   if (!kb.ok()) {
     std::fprintf(stderr, "error: %s\n", kb.status().ToString().c_str());
     return 1;
@@ -169,7 +170,7 @@ int GenerateCorpus(int argc, char** argv) {
   corpus::Corpus docs =
       synth::CorpusGenerator(&world, preset.corpus).Generate();
   util::Status status =
-      kb::SaveKnowledgeBase(*world.knowledge_base, argv[0]);
+      kb::flat::SaveFlatSnapshot(*world.knowledge_base, argv[0]);
   if (status.ok()) status = corpus::SaveCorpus(docs, argv[1]);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

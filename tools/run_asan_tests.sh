@@ -25,8 +25,8 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAIDA_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target task_test batch_test serve_test \
-  snapshot_test kb_serialization_test flat_kb_test \
-  fuzz_kb_serialization fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer
+  snapshot_test flat_kb_test \
+  fuzz_flat_kb fuzz_wiki_importer fuzz_corpus_io fuzz_tokenizer
 
 # halt_on_error fails fast; detect_leaks guards the promise/future and
 # flushed-request paths in the serving layer.
@@ -36,11 +36,10 @@ export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 "$BUILD_DIR/tests/batch_test" --gtest_filter="$BATCH_FILTER"
 "$BUILD_DIR/tests/serve_test" --gtest_filter="$SERVE_FILTER"
 "$BUILD_DIR/tests/snapshot_test" --gtest_filter="$SNAPSHOT_FILTER"
-"$BUILD_DIR/tests/kb_serialization_test" --gtest_filter="$SNAPSHOT_FILTER"
 "$BUILD_DIR/tests/flat_kb_test" --gtest_filter="$SNAPSHOT_FILTER"
 
 # Sanitized corpus replay (standalone driver; no Clang needed).
-for surface in kb_serialization flat_kb wiki_importer corpus_io tokenizer; do
+for surface in flat_kb wiki_importer corpus_io tokenizer; do
   "$BUILD_DIR/tests/fuzz/fuzz_$surface" "$REPO_ROOT/tests/fuzz/corpus/$surface"
 done
 

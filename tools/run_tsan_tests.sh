@@ -21,7 +21,7 @@ TASK_FILTER="${1:-*}"
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAIDA_SANITIZE=thread
-cmake --build "$BUILD_DIR" -j --target mutex_test task_test batch_test serve_test snapshot_test kb_serialization_test
+cmake --build "$BUILD_DIR" -j --target mutex_test task_test batch_test serve_test snapshot_test
 
 # halt_on_error makes the first race fail fast with a non-zero exit.
 # tools/tsan.supp silences the known libstdc++ _Sp_atomic false positive
