@@ -17,10 +17,11 @@
 
 #include "bench_common.h"
 #include "core/aida.h"
-#include "core/batch.h"
 #include "core/relatedness_cache.h"
+#include "kb/snapshot_registry.h"
 #include "kore/kore_lsh.h"
 #include "kore/kore_relatedness.h"
+#include "serve/ned_service.h"
 #include "synth/corpus_generator.h"
 #include "synth/world_generator.h"
 #include "util/stopwatch.h"
@@ -201,29 +202,38 @@ int main() {
 
     // Uncached serial reference.
     core::Aida plain(&models, measures[mi].second, options);
-    core::BatchOptions serial_options;
-    serial_options.num_threads = 1;
     util::Stopwatch serial_watch;
-    std::vector<core::DisambiguationResult> serial_results =
-        core::BatchDisambiguator(&plain, serial_options).Run(problems);
+    std::vector<core::DisambiguationResult> serial_results;
+    for (const core::DisambiguationProblem& problem : problems) {
+      serial_results.push_back(plain.Disambiguate(problem, {}));
+    }
     const double serial_ms = serial_watch.ElapsedMillis();
     const core::DisambiguationStats serial_stats =
         core::AggregateStats(serial_results);
 
-    // Cached parallel run sharing one cache across workers.
+    // Cached parallel run: four service workers share one cache. Every
+    // request must complete OK for the rows to count as identical.
     core::RelatednessCache cache;
     core::CachedRelatednessMeasure cached(measures[mi].second, &cache);
     core::Aida with_cache(&models, &cached, options);
-    core::BatchOptions parallel_options;
-    parallel_options.num_threads = 4;
     util::Stopwatch parallel_watch;
-    std::vector<core::DisambiguationResult> parallel_results =
-        core::BatchDisambiguator(&with_cache, parallel_options).Run(problems);
+    std::vector<core::DisambiguationResult> parallel_results;
+    bool all_ok = true;
+    {
+      serve::NedService service(
+          kb::KbSnapshot::WrapUnowned(with_cache, "cached"),
+          {.num_threads = 4});
+      for (serve::ServeResult& served : service.DisambiguateAll(problems)) {
+        all_ok = all_ok && served.status.ok();
+        parallel_results.push_back(std::move(served.result));
+      }
+    }
     const double parallel_ms = parallel_watch.ElapsedMillis();
     const core::DisambiguationStats parallel_stats =
         core::AggregateStats(parallel_results);
 
-    const bool identical = ResultsIdentical(serial_results, parallel_results);
+    const bool identical =
+        all_ok && ResultsIdentical(serial_results, parallel_results);
     std::printf("%-12s %12llu %12llu %9.1f%% %10.1f %10.1f %8.2fx %6s\n",
                 measures[mi].first.c_str(),
                 static_cast<unsigned long long>(

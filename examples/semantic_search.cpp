@@ -7,8 +7,9 @@
 #include "apps/entity_search.h"
 #include "apps/news_analytics.h"
 #include "core/aida.h"
-#include "core/batch.h"
+#include "kb/snapshot_registry.h"
 #include "kore/kore_relatedness.h"
+#include "serve/ned_service.h"
 #include "synth/corpus_generator.h"
 #include "synth/world_generator.h"
 
@@ -38,7 +39,7 @@ int main() {
   core::CandidateModelStore models(world.knowledge_base.get());
   kore::KoreRelatedness kore;
   core::Aida aida(&models, &kore, core::AidaOptions());
-  core::BatchDisambiguator batch(&aida);
+  serve::NedService service(kb::KbSnapshot::WrapUnowned(aida, "aida"));
 
   std::vector<core::DisambiguationProblem> problems;
   problems.reserve(stream.size());
@@ -54,16 +55,16 @@ int main() {
     }
     problems.push_back(std::move(problem));
   }
-  std::vector<core::DisambiguationResult> results = batch.Run(problems);
+  std::vector<serve::ServeResult> results = service.DisambiguateAll(problems);
   std::printf("disambiguated %zu documents on %zu threads\n", stream.size(),
-              batch.num_threads());
+              service.num_threads());
 
   // ---- Index --------------------------------------------------------------------
   apps::EntitySearch search(world.knowledge_base.get());
   apps::NewsAnalytics analytics;
   for (size_t d = 0; d < stream.size(); ++d) {
     std::vector<kb::EntityId> entities;
-    for (const core::MentionResult& m : results[d].mentions) {
+    for (const core::MentionResult& m : results[d].result.mentions) {
       entities.push_back(m.entity);
     }
     search.IndexDocument(stream[d], entities);

@@ -111,7 +111,7 @@ struct MentionResult {
 /// Per-call efficiency counters of one Disambiguate invocation — the
 /// quantities the efficiency experiments (Table 4.4) report. Returned by
 /// value inside DisambiguationResult so concurrent calls (e.g. from
-/// BatchDisambiguator workers sharing one NedSystem) never race on shared
+/// serve::NedService workers sharing one NedSystem) never race on shared
 /// mutable state; sum them with operator+= for batch-level totals.
 struct DisambiguationStats {
   /// Evaluations of the underlying RelatednessMeasure performed on behalf
@@ -174,6 +174,22 @@ struct DisambiguationResult {
   /// phase-time totals.
   bool cancelled = false;
 };
+
+/// Sums the per-call stats of a batch run into one total (relatedness
+/// evaluations, cache hits, phase times). Counter sums are exact under
+/// parallel runs because each call owns its stats. Results flagged
+/// `cancelled` — requests a serving layer shed before they ran, or calls
+/// that bailed out on a tripped CancellationToken with partial phase
+/// times — are skipped so they cannot distort the totals of completed
+/// work.
+inline DisambiguationStats AggregateStats(
+    const std::vector<DisambiguationResult>& results) {
+  DisambiguationStats total;
+  for (const DisambiguationResult& result : results) {
+    if (!result.cancelled) total += result.stats;
+  }
+  return total;
+}
 
 /// Abstract joint named-entity disambiguation system. AIDA and all
 /// baselines implement this; the NED-EE machinery of chapter 5 treats any

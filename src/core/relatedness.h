@@ -67,10 +67,10 @@ class RelatednessMeasure {
     return comparisons_.load(std::memory_order_relaxed);
   }
   /// Zeroes the comparison counter. Must NOT be called while a batch run
-  /// (BatchDisambiguator::Run) using this measure is in flight: concurrent
-  /// Disambiguate calls would lose counts nondeterministically. Reset
-  /// between runs, or prefer the per-call DisambiguationStats, which need
-  /// no reset at all.
+  /// (NedService::DisambiguateAll) using this measure is in flight:
+  /// concurrent Disambiguate calls would lose counts nondeterministically.
+  /// Reset between runs, or prefer the per-call DisambiguationStats,
+  /// which need no reset at all.
   void ResetComparisons() const {
     comparisons_.store(0, std::memory_order_relaxed);
   }

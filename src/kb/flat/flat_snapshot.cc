@@ -293,9 +293,12 @@ util::Status ValidateOffsets(const uint64_t* offsets, uint64_t count,
     return Corrupt(std::string(what) + " offsets do not start at 0");
   }
   for (uint64_t i = 0; i < count; ++i) {
-    if (offsets[i + 1] < offsets[i] ||
-        (strict && offsets[i + 1] == offsets[i])) {
+    if (offsets[i + 1] < offsets[i]) {
       return Corrupt(std::string(what) + " offsets not monotonic");
+    }
+    if (strict && offsets[i + 1] == offsets[i]) {
+      return Corrupt(std::string(what) + " " + std::to_string(i) +
+                     " is empty");
     }
   }
   *total = offsets[count];

@@ -16,6 +16,9 @@ namespace {
 
 using ServiceClock = core::CancellationToken::Clock;
 
+/// Mentions a document needs before its request may fork tasks.
+constexpr size_t kMinParallelMentions = 8;
+
 double SecondsBetween(ServiceClock::time_point begin,
                       ServiceClock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
@@ -41,8 +44,7 @@ NedService::NedService(std::shared_ptr<const kb::KbSnapshot> snapshot,
                        ? options.num_threads
                        : std::max(1u, std::thread::hardware_concurrency())),
       metrics_(num_threads_),
-      queue_(std::max<size_t>(1, options.queue_capacity)),
-      pool_(std::make_unique<util::WorkerPool>(num_threads_)) {
+      queue_(std::max<size_t>(1, options.queue_capacity)) {
   AIDA_CHECK((fixed_snapshot_ != nullptr) != (registry_ != nullptr),
              "NedService needs exactly one of snapshot or registry");
   // A registry-backed service needs a published generation before traffic
@@ -55,9 +57,8 @@ NedService::NedService(std::shared_ptr<const kb::KbSnapshot> snapshot,
     scheduler_options.num_threads = options_.parallelism.task_threads;
     scheduler_ = std::make_unique<task::Scheduler>(scheduler_options);
   }
-  for (size_t t = 0; t < num_threads_; ++t) {
-    pool_->Submit([this, t] { WorkerLoop(t); });
-  }
+  pool_ = std::make_unique<util::WorkerPool>(
+      num_threads_, [this](size_t slot) { WorkerLoop(slot); });
 }
 
 NedService::~NedService() { Drain(); }
@@ -199,14 +200,12 @@ void NedService::Process(size_t slot, Request request,
   // tasks, so the engine accelerates the tail without taxing small-doc
   // throughput.
   if (scheduler_ != nullptr &&
-      request.problem.mentions.size() >= options_.parallelism.min_mentions) {
+      request.problem.mentions.size() >= kMinParallelMentions) {
     core::ParallelismOptions& par = ned_options.parallel;
     par.scheduler = scheduler_.get();
     par.max_tasks = options_.parallelism.max_tasks_per_request != 0
                         ? options_.parallelism.max_tasks_per_request
                         : options_.parallelism.task_threads + 1;
-    par.min_batch_pairs = options_.parallelism.min_batch_pairs;
-    par.min_parallel_nodes = options_.parallelism.min_parallel_nodes;
   }
   util::Stopwatch service_watch;
   try {

@@ -25,11 +25,11 @@ namespace aida::serve {
 
 /// Intra-request parallelism for heavy documents. When task_threads > 0
 /// the service owns one work-stealing task::Scheduler shared by all
-/// workers; a request whose document clears the mention-count admission
-/// bar forks its disambiguation phases (per-mention local scoring, the
-/// deduplicated relatedness batch, the solver's node scans) into tasks
-/// on that engine — byte-identical results, lower per-request latency.
-/// Small documents always take the untouched serial path, so enabling
+/// workers; a request whose document has at least 8 mentions forks its
+/// disambiguation phases (per-mention local scoring, the deduplicated
+/// relatedness batch, the solver's node scans) into tasks on that
+/// engine — byte-identical results, lower per-request latency. Small
+/// documents always take the untouched serial path, so enabling
 /// the engine never taxes the common case.
 struct ServeParallelismOptions {
   /// Dedicated task-engine threads; 0 disables intra-request parallelism
@@ -40,13 +40,6 @@ struct ServeParallelismOptions {
   /// task_threads + 1 (the request's own worker participates in every
   /// region via its TaskGroup, so it counts as one executor).
   size_t max_tasks_per_request = 0;
-  /// Admission: only documents with at least this many mentions fork
-  /// tasks. The knob that keeps intra-request parallelism from cutting
-  /// into inter-request throughput under load.
-  size_t min_mentions = 8;
-  /// Forwarded to core::ParallelismOptions (per-phase size gates).
-  size_t min_batch_pairs = 64;
-  size_t min_parallel_nodes = 2048;
 };
 
 /// Configuration of a NedService.
@@ -68,7 +61,7 @@ struct NedServiceOptions {
   /// Snapshot() next to the latency histograms.
   const core::RelatednessCache* shared_cache = nullptr;
   /// Intra-request task parallelism (default: disabled).
-  ServeParallelismOptions parallelism;
+  ServeParallelismOptions parallelism = {};
 };
 
 /// Per-request overrides.
@@ -276,8 +269,8 @@ class NedService {
   /// num_threads_ so every worker owns a private slot.
   ServiceMetrics metrics_;
   BoundedQueue<Request> queue_;
-  /// Serializes Drain/Shutdown; ranked before the queue and pool locks
-  /// because Stop closes the queue and joins the pool while holding it.
+  /// Serializes Drain/Shutdown; ranked before the queue lock because Stop
+  /// closes the queue and joins the workers while holding it.
   util::Mutex stop_mutex_{util::lock_rank::kServiceStop};
   // Declared after queue_ so it is destroyed first: the pool joins worker
   // loops, which only exit once the queue is closed.

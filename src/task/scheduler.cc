@@ -16,6 +16,11 @@ namespace {
 thread_local Scheduler* tls_scheduler = nullptr;
 thread_local uint32_t tls_slot_index = 0xffffffffu;
 
+/// Slots claimable by external fork-join callers (e.g. serving workers
+/// running a parallel disambiguation). A TaskGroup that finds no free slot
+/// degrades to inline execution instead of failing.
+constexpr size_t kMaxParticipants = 32;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -28,7 +33,7 @@ Scheduler::Scheduler(const SchedulerOptions& options) {
     num_workers_ = hw == 0 ? 1 : hw;
   }
   node_pool_capacity_ = options.deque_capacity;
-  const size_t total = num_workers_ + options.max_participants;
+  const size_t total = num_workers_ + kMaxParticipants;
   slots_.reserve(total);
   for (size_t i = 0; i < total; ++i) {
     slots_.push_back(std::make_unique<Slot>(options.deque_capacity));

@@ -118,10 +118,6 @@ struct SchedulerOptions {
   /// deque spills to the shared injection queue, so this bounds memory,
   /// not task count.
   size_t deque_capacity = 256;
-  /// Slots claimable by external fork-join callers (e.g. serving workers
-  /// running a parallel disambiguation). A TaskGroup that finds no free
-  /// slot degrades to inline execution instead of failing.
-  size_t max_participants = 32;
 };
 
 /// Point-in-time counters across all slots.

@@ -2,65 +2,34 @@
 #define AIDA_UTIL_WORKER_POOL_H_
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
 
-#include "util/lock_ranks.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace aida::util {
 
-/// A persistent pool of worker threads fed from an unbounded FIFO task
-/// queue. Threads are created once at construction and reused for every
-/// task, replacing the create/join-per-call pattern that used to live in
-/// core::BatchDisambiguator and that an online service cannot afford.
-///
-/// Two usage modes:
-///  * Submit() enqueues a fire-and-forget task (the serving layer submits
-///    one long-running dequeue loop per worker);
-///  * ParallelFor() runs an indexed body across the pool with dynamic
-///    dispatch and blocks the caller until every index finished.
-///
-/// The destructor stops intake, drains tasks already queued, and joins.
+/// A fixed set of long-lived threads: thread i runs loop(i) once, and the
+/// destructor joins them all. Nothing dispatches work to the threads —
+/// each loop pulls its own (serve::NedService's workers pop its bounded
+/// request queue) and returns when its source closes. Fork-join work
+/// belongs to task::Scheduler, the one task runtime.
 class WorkerPool {
  public:
-  /// `num_threads` of 0 selects the hardware concurrency.
-  explicit WorkerPool(size_t num_threads = 0);
+  WorkerPool(size_t num_threads, const std::function<void(size_t)>& loop) {
+    threads_.reserve(num_threads);
+    for (size_t i = 0; i < num_threads; ++i) threads_.emplace_back(loop, i);
+  }
 
-  /// Drains queued tasks, then joins all workers.
-  ~WorkerPool();
+  /// Blocks until every loop has returned. The owner must first make the
+  /// loops return (NedService closes its queue).
+  ~WorkerPool() {
+    for (std::thread& thread : threads_) thread.join();
+  }
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  size_t num_threads() const { return threads_.size(); }
-
-  /// Enqueues `task` for execution on some worker. Never blocks; the queue
-  /// is unbounded (bounded admission belongs to the layer above, see
-  /// serve::BoundedQueue). Tasks must not throw — a task that needs
-  /// exception transport wraps its own try/catch, as ParallelFor does.
-  void Submit(std::function<void()> task) AIDA_EXCLUDES(mutex_);
-
-  /// Runs body(0) .. body(count - 1) across up to min(num_threads, count)
-  /// workers with dynamic dispatch (an atomic index, so skewed per-index
-  /// costs balance), blocking until all dispatched indices completed. If a
-  /// body throws, dispatch of further indices stops, in-flight bodies
-  /// finish, and the first captured exception is rethrown here. Safe to
-  /// call concurrently from several threads sharing one pool.
-  void ParallelFor(size_t count, const std::function<void(size_t)>& body)
-      AIDA_EXCLUDES(mutex_);
-
  private:
-  void WorkerLoop() AIDA_EXCLUDES(mutex_);
-
-  Mutex mutex_{lock_rank::kWorkerPool};
-  CondVar ready_;
-  std::deque<std::function<void()>> tasks_ AIDA_GUARDED_BY(mutex_);
-  bool stopping_ AIDA_GUARDED_BY(mutex_) = false;
-  /// Written only at construction, joined at destruction; never guarded.
   std::vector<std::thread> threads_;
 };
 

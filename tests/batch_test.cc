@@ -1,20 +1,20 @@
-// Batch-mode concurrency, the shared RelatednessCache, per-call
-// DisambiguationStats, and the numeric edge cases of Milne-Witten: the
-// regression suite for the thread-safety fixes (racy "last call" counters,
-// worker-thread exceptions) and the memoization layer.
+// Batch-mode concurrency (NedService::DisambiguateAll), the shared
+// RelatednessCache, per-call DisambiguationStats, and the numeric edge
+// cases of Milne-Witten: the regression suite for the thread-safety fixes
+// (racy "last call" counters) and the memoization layer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "core/aida.h"
-#include "core/batch.h"
 #include "core/relatedness_cache.h"
 #include "kb/kb_builder.h"
+#include "kb/snapshot_registry.h"
 #include "kore/kore_lsh.h"
+#include "serve/ned_service.h"
 #include "test_world.h"
 
 namespace aida::core {
@@ -33,6 +33,21 @@ DisambiguationProblem ToProblem(const corpus::Document& doc) {
     problem.mentions.push_back(std::move(pm));
   }
   return problem;
+}
+
+// Runs the batch through a NedService with `num_threads` workers; every
+// request must complete OK.
+std::vector<DisambiguationResult> RunServed(
+    const NedSystem& system, size_t num_threads,
+    const std::vector<DisambiguationProblem>& problems) {
+  serve::NedService service(kb::KbSnapshot::WrapUnowned(system, "batch"),
+                            {.num_threads = num_threads});
+  std::vector<DisambiguationResult> results;
+  for (serve::ServeResult& served : service.DisambiguateAll(problems)) {
+    EXPECT_TRUE(served.status.ok()) << served.status.ToString();
+    results.push_back(std::move(served.result));
+  }
+  return results;
 }
 
 void ExpectSameResults(const std::vector<DisambiguationResult>& a,
@@ -76,31 +91,25 @@ class BatchTest : public ::testing::Test {
 
 TEST_F(BatchTest, ParallelRunMatchesSerial) {
   Aida aida(&models_, &mw_, AidaOptions());
-  BatchOptions serial;
-  serial.num_threads = 1;
-  BatchOptions parallel;
-  parallel.num_threads = 4;
-  std::vector<DisambiguationResult> serial_results =
-      BatchDisambiguator(&aida, serial).Run(problems_);
-  std::vector<DisambiguationResult> parallel_results =
-      BatchDisambiguator(&aida, parallel).Run(problems_);
-  ExpectSameResults(serial_results, parallel_results);
+  std::vector<DisambiguationResult> serial_results;
+  for (const DisambiguationProblem& problem : problems_) {
+    serial_results.push_back(aida.Disambiguate(problem, {}));
+  }
+  ExpectSameResults(serial_results, RunServed(aida, 4, problems_));
 }
 
 TEST_F(BatchTest, CachedParallelMatchesUncachedSerial) {
   Aida plain(&models_, &mw_, AidaOptions());
-  BatchOptions serial;
-  serial.num_threads = 1;
-  std::vector<DisambiguationResult> reference =
-      BatchDisambiguator(&plain, serial).Run(problems_);
+  std::vector<DisambiguationResult> reference;
+  for (const DisambiguationProblem& problem : problems_) {
+    reference.push_back(plain.Disambiguate(problem, {}));
+  }
 
   RelatednessCache cache;
   CachedRelatednessMeasure cached(&mw_, &cache);
   Aida with_cache(&models_, &cached, AidaOptions());
-  BatchOptions parallel;
-  parallel.num_threads = 4;
   std::vector<DisambiguationResult> cached_results =
-      BatchDisambiguator(&with_cache, parallel).Run(problems_);
+      RunServed(with_cache, 4, problems_);
 
   ExpectSameResults(reference, cached_results);
   // Entities recur across the corpus, so the shared cache must have
@@ -114,10 +123,7 @@ TEST_F(BatchTest, CachedParallelMatchesUncachedSerial) {
 TEST_F(BatchTest, StatsSumAcrossThreadsWithoutCache) {
   MilneWittenRelatedness mw(world_.knowledge_base.get());
   Aida aida(&models_, &mw, AidaOptions());
-  BatchOptions parallel;
-  parallel.num_threads = 4;
-  std::vector<DisambiguationResult> results =
-      BatchDisambiguator(&aida, parallel).Run(problems_);
+  std::vector<DisambiguationResult> results = RunServed(aida, 4, problems_);
 
   DisambiguationStats total = AggregateStats(results);
   // Every evaluation of the measure is attributed to exactly one call's
@@ -138,10 +144,7 @@ TEST_F(BatchTest, StatsSumAcrossThreadsWithCache) {
   RelatednessCache cache;
   CachedRelatednessMeasure cached(&mw, &cache);
   Aida aida(&models_, &cached, AidaOptions());
-  BatchOptions parallel;
-  parallel.num_threads = 4;
-  std::vector<DisambiguationResult> results =
-      BatchDisambiguator(&aida, parallel).Run(problems_);
+  std::vector<DisambiguationResult> results = RunServed(aida, 4, problems_);
 
   DisambiguationStats total = AggregateStats(results);
   RelatednessCacheStats snapshot = cache.Snapshot();
@@ -154,31 +157,6 @@ TEST_F(BatchTest, StatsSumAcrossThreadsWithCache) {
   EXPECT_EQ(total.relatedness_cache_hits, snapshot.hits);
   EXPECT_GT(snapshot.hits, 0u);
   EXPECT_GT(total.RelatednessCacheHitRate(), 0.0);
-}
-
-TEST_F(BatchTest, BatchRethrowsWorkerException) {
-  class ThrowingSystem : public NedSystem {
-   public:
-    DisambiguationResult Disambiguate(
-        const DisambiguationProblem&,
-        const DisambiguateOptions&) const override {
-      throw std::runtime_error("worker failure");
-    }
-    std::string name() const override { return "throwing"; }
-  };
-
-  ThrowingSystem throwing;
-  std::vector<DisambiguationProblem> problems(8);
-  BatchOptions parallel;
-  parallel.num_threads = 4;
-  // Before the fix this called std::terminate; now the first worker
-  // exception is captured, all threads are joined, and it is rethrown.
-  EXPECT_THROW(BatchDisambiguator(&throwing, parallel).Run(problems),
-               std::runtime_error);
-  BatchOptions serial;
-  serial.num_threads = 1;
-  EXPECT_THROW(BatchDisambiguator(&throwing, serial).Run(problems),
-               std::runtime_error);
 }
 
 TEST_F(BatchTest, MilneWittenTinyKbEdgeCasesStayFiniteInRange) {

@@ -2,12 +2,13 @@
 
 #include "core/aida.h"
 #include "core/baselines.h"
-#include "core/batch.h"
 #include "core/type_classifier.h"
 #include "util/string_util.h"
 #include "ee/ee_clustering.h"
 #include "ee/keyphrase_harvester.h"
+#include "kb/snapshot_registry.h"
 #include "kore/kore_relatedness.h"
+#include "serve/ned_service.h"
 #include "test_world.h"
 
 namespace aida {
@@ -42,25 +43,27 @@ class ExtensionsTest : public ::testing::Test {
   core::MilneWittenRelatedness mw_;
 };
 
-// ---- BatchDisambiguator --------------------------------------------------------
+// ---- Batch disambiguation through NedService ---------------------------------
 
 TEST_F(ExtensionsTest, BatchMatchesSequential) {
   core::Aida aida(&models_, &mw_, core::AidaOptions());
   std::vector<core::DisambiguationProblem> problems;
   for (size_t d = 0; d < 12; ++d) problems.push_back(ToProblem(corpus_[d]));
 
-  core::BatchOptions options;
-  options.num_threads = 4;
-  core::BatchDisambiguator batch(&aida, options);
-  std::vector<core::DisambiguationResult> parallel = batch.Run(problems);
+  serve::NedService service(kb::KbSnapshot::WrapUnowned(aida, "aida"),
+                            {.num_threads = 4});
+  std::vector<serve::ServeResult> parallel = service.DisambiguateAll(problems);
 
   ASSERT_EQ(parallel.size(), problems.size());
   for (size_t d = 0; d < problems.size(); ++d) {
+    ASSERT_TRUE(parallel[d].status.ok()) << parallel[d].status.ToString();
+    const core::DisambiguationResult& served = parallel[d].result;
     core::DisambiguationResult sequential = aida.Disambiguate(problems[d], {});
-    ASSERT_EQ(parallel[d].mentions.size(), sequential.mentions.size());
+    ASSERT_EQ(served.mentions.size(), sequential.mentions.size());
     for (size_t m = 0; m < sequential.mentions.size(); ++m) {
-      EXPECT_EQ(parallel[d].mentions[m].entity,
-                sequential.mentions[m].entity)
+      EXPECT_EQ(served.mentions[m].entity, sequential.mentions[m].entity)
+          << "doc " << d << " mention " << m;
+      EXPECT_EQ(served.mentions[m].score, sequential.mentions[m].score)
           << "doc " << d << " mention " << m;
     }
   }
@@ -68,9 +71,9 @@ TEST_F(ExtensionsTest, BatchMatchesSequential) {
 
 TEST_F(ExtensionsTest, BatchEmptyInput) {
   core::Aida aida(&models_, &mw_, core::AidaOptions());
-  core::BatchDisambiguator batch(&aida);
-  EXPECT_TRUE(batch.Run({}).empty());
-  EXPECT_GE(batch.num_threads(), 1u);
+  serve::NedService service(kb::KbSnapshot::WrapUnowned(aida, "aida"));
+  EXPECT_TRUE(service.DisambiguateAll({}).empty());
+  EXPECT_GE(service.num_threads(), 1u);
 }
 
 // ---- TagMe baseline --------------------------------------------------------------

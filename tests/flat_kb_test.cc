@@ -320,7 +320,7 @@ TEST(FlatKbTest, RejectsEmptyPhrase) {
   std::span<char> offsets = Section(bytes, flat::SectionId::kPhraseWordOffsets);
   ASSERT_GE(offsets.size(), 3 * sizeof(uint64_t));
   std::memset(offsets.data() + sizeof(uint64_t), 0, sizeof(uint64_t));
-  EXPECT_NE(LoadError(bytes).find("phrase offsets"), std::string::npos);
+  EXPECT_NE(LoadError(bytes).find("phrase 0 is empty"), std::string::npos);
 }
 
 TEST(FlatKbTest, RejectsTrailingBytes) {

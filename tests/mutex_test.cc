@@ -227,8 +227,8 @@ TEST_F(LockRankTest, InversionIsDetectedAndReported) {
 TEST_F(LockRankTest, EqualRanksAreAnInversion) {
   // Two mutexes of the same family must never nest: strict increase is
   // the contract, so rank == rank reports.
-  Mutex first(lock_rank::kWorkerPool);
-  Mutex second(lock_rank::kWorkerPool);
+  Mutex first(lock_rank::kBoundedQueue);
+  Mutex second(lock_rank::kBoundedQueue);
   {
     MutexLock outer(&first);
     MutexLock inner(&second);
@@ -268,21 +268,21 @@ TEST_F(LockRankTest, DisabledCheckerStaysSilent) {
 }
 
 TEST_F(LockRankTest, CondVarWaitReleasesAndReacquiresTheRank) {
-  Mutex pool(lock_rank::kWorkerPool);
-  bool ready AIDA_GUARDED_BY(pool) = false;
+  Mutex queue(lock_rank::kBoundedQueue);
+  bool ready AIDA_GUARDED_BY(queue) = false;
   CondVar cv;
 
   std::thread waiter([&] {
-    MutexLock lock(&pool);
-    while (!ready) cv.Wait(pool);
+    MutexLock lock(&queue);
+    while (!ready) cv.Wait(queue);
   });
 
   // While the waiter sleeps inside Wait it must NOT count as holding the
-  // pool rank on ITS thread — and this thread's independent acquisition
+  // queue rank on ITS thread — and this thread's independent acquisition
   // below is on a different thread's stack entirely, so neither side
   // reports.
   {
-    MutexLock lock(&pool);
+    MutexLock lock(&queue);
     ready = true;
   }
   cv.NotifyOne();
@@ -306,10 +306,10 @@ TEST_F(LockRankTest, NonAbortingHandlerStillAcquiresTheLock) {
 
 TEST_F(LockRankTest, DeclaredStackOrderIsStrictlyIncreasing) {
   const int ranks[] = {
-      lock_rank::kServiceStop,     lock_rank::kSnapshotPublish,
-      lock_rank::kBoundedQueue,    lock_rank::kWorkerPool,
-      lock_rank::kServiceMetrics,  lock_rank::kCandidateStore,
-      lock_rank::kRelatednessShard, lock_rank::kParallelForState,
+      lock_rank::kServiceStop,      lock_rank::kSnapshotPublish,
+      lock_rank::kBoundedQueue,     lock_rank::kTaskScheduler,
+      lock_rank::kServiceMetrics,   lock_rank::kCandidateStore,
+      lock_rank::kRelatednessShard, lock_rank::kTaskGroup,
   };
   for (size_t i = 1; i < std::size(ranks); ++i) {
     EXPECT_LT(ranks[i - 1], ranks[i])

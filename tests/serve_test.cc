@@ -16,7 +16,6 @@
 
 #include "apps/serving.h"
 #include "core/aida.h"
-#include "core/batch.h"
 #include "core/relatedness_cache.h"
 #include "kb/snapshot_registry.h"
 #include "serve/bounded_queue.h"

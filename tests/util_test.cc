@@ -201,68 +201,7 @@ TEST(ZipfSamplerTest, SampleInRangeAndSkewed) {
   EXPECT_NEAR(static_cast<double>(head) / n, zipf.Pmf(0), 0.03);
 }
 
-// ---- Binary serialization ------------------------------------------------------
-
-TEST(SerializeTest, RoundTripScalars) {
-  BinaryWriter writer;
-  writer.WriteU32(7);
-  writer.WriteU64(1ull << 40);
-  writer.WriteI64(-12345);
-  writer.WriteDouble(3.25);
-  writer.WriteString("hello");
-
-  BinaryReader reader(writer.buffer());
-  uint32_t u32 = 0;
-  uint64_t u64 = 0;
-  int64_t i64 = 0;
-  double d = 0;
-  std::string s;
-  ASSERT_TRUE(reader.ReadU32(&u32).ok());
-  ASSERT_TRUE(reader.ReadU64(&u64).ok());
-  ASSERT_TRUE(reader.ReadI64(&i64).ok());
-  ASSERT_TRUE(reader.ReadDouble(&d).ok());
-  ASSERT_TRUE(reader.ReadString(&s).ok());
-  EXPECT_EQ(u32, 7u);
-  EXPECT_EQ(u64, 1ull << 40);
-  EXPECT_EQ(i64, -12345);
-  EXPECT_EQ(d, 3.25);
-  EXPECT_EQ(s, "hello");
-  EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(SerializeTest, RoundTripVectors) {
-  BinaryWriter writer;
-  std::vector<uint32_t> ids = {1, 2, 3, 99};
-  std::vector<std::string> names = {"a", "bb", ""};
-  writer.WriteVector(ids);
-  writer.WriteStringVector(names);
-
-  BinaryReader reader(writer.buffer());
-  std::vector<uint32_t> ids2;
-  std::vector<std::string> names2;
-  ASSERT_TRUE(reader.ReadVector(&ids2).ok());
-  ASSERT_TRUE(reader.ReadStringVector(&names2).ok());
-  EXPECT_EQ(ids2, ids);
-  EXPECT_EQ(names2, names);
-}
-
-TEST(SerializeTest, TruncatedInputFails) {
-  BinaryWriter writer;
-  writer.WriteU64(1);
-  std::string data = writer.buffer().substr(0, 3);
-  BinaryReader reader(data);
-  uint64_t v = 0;
-  EXPECT_FALSE(reader.ReadU64(&v).ok());
-}
-
-TEST(SerializeTest, TruncatedStringFails) {
-  BinaryWriter writer;
-  writer.WriteString("long string content");
-  std::string data = writer.buffer().substr(0, 10);
-  BinaryReader reader(data);
-  std::string s;
-  EXPECT_FALSE(reader.ReadString(&s).ok());
-}
+// ---- File I/O ------------------------------------------------------------------
 
 TEST(SerializeTest, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/aida_serialize_test.bin";

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the test suite with -DAIDA_SANITIZE=address (which the top-level
 # CMakeLists expands to ASan + UBSan) and runs the concurrency-sensitive
-# tests: the aida::task scheduler, the batch runner, and the aida::serve
-# service, whose task-node ownership handoffs, promise/future handoffs,
-# and drain/shutdown paths are where lifetime bugs would live.
+# tests: the aida::task scheduler, batches through
+# NedService::DisambiguateAll, and the aida::serve service, whose
+# task-node ownership handoffs, promise/future handoffs, and
+# drain/shutdown paths are where lifetime bugs would live.
 # Also replays the tests/fuzz/corpus/ seed corpora (including every fixed
 # crasher) through the sanitized harness binaries, so corpus coverage gets
 # ASan/UBSan eyes even on machines without Clang/libFuzzer.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the test suite with -DAIDA_SANITIZE=thread and runs the
 # concurrency-sensitive tests (the annotated mutex/condvar primitives,
-# batch runner, relatedness cache, per-call stats, the aida::task
-# work-stealing scheduler, and the aida::serve worker pool / queue /
-# metrics) under ThreadSanitizer. Any data race fails the run.
+# concurrent batches through NedService::DisambiguateAll, relatedness
+# cache, per-call stats, the aida::task work-stealing scheduler, and the
+# aida::serve workers / queue / metrics) under ThreadSanitizer. Any data
+# race fails the run.
 #
 # Usage: tools/run_tsan_tests.sh [extra gtest filter]
 #   BUILD_DIR=build-tsan  override the build directory
